@@ -731,8 +731,6 @@ class HeartbeatProtocol:
             and receiver._non_abutting.get(memo_key) == receiver.own_version
         ):
             return  # same record, same zones: still not our neighbor
-        if own_zones is None:
-            own_zones = self.overlay.zones_of(receiver.node_id)
         if not self._record_relevant(receiver, record, own_zones):
             if existing is not None:
                 receiver.table.remove(record.node_id)
@@ -749,7 +747,7 @@ class HeartbeatProtocol:
         self,
         receiver: ProtocolNode,
         record: BeliefRecord,
-        own_zones: List,
+        own_zones: Optional[List] = None,
     ) -> bool:
         """Does this record's subject abut the receiver's zones?
 
@@ -759,7 +757,8 @@ class HeartbeatProtocol:
         always precedes the version bump), so abutment reduces to a lookup
         in the overlay's leaf-adjacency index.  Stale records (an old
         version, or a subject whose zones were handed off) fall back to the
-        geometric scan — their zones exist nowhere but in the record.
+        geometric scan — their zones exist nowhere but in the record, and
+        only that scan needs the receiver's zones (looked up when not given).
         """
         subject = self.nodes.get(record.node_id)
         if (
@@ -767,7 +766,9 @@ class HeartbeatProtocol:
             and subject.own_version == record.version
             and record.node_id in self.overlay.members
         ):
-            return record.node_id in self.overlay.neighbor_set(receiver.node_id)
+            return self.overlay.is_neighbor(receiver.node_id, record.node_id)
+        if own_zones is None:
+            own_zones = self.overlay.zones_of(receiver.node_id)
         return record.abuts_any(own_zones)
 
     # -- failure detection & take-over -------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..overlay.base import SubstrateError
-from .geometry import Zone
+from .geometry import Zone, split_abutment
 from .space import ResourceSpace
 from .split_tree import Leaf, SplitTree
 
@@ -111,6 +111,11 @@ class CanOverlay:
         self._member(node_id)
         row = self._nbr_counts.get(node_id)
         return set(row) if row else set()
+
+    def is_neighbor(self, a: int, b: int) -> bool:
+        """Is ``b`` a ground-truth neighbor of ``a``?  O(1), builds no set."""
+        row = self._nbr_counts.get(a)
+        return row is not None and b in row
 
     def neighborhood_stamp(self, node_id: int) -> int:
         """Monotone counter advancing when this node's neighborhood changes.
@@ -381,20 +386,30 @@ class CanOverlay:
     def _split_adjacency(
         self, old_id: int, old_owner: int, low: Leaf, high: Leaf
     ) -> None:
+        """Re-home the split leaf's adjacency onto its two halves.
+
+        Every old neighbor abuts the split leaf, so only the split axis
+        needs re-classifying (:func:`split_abutment`).
+        """
         assert self.tree is not None
         old_adj = self._adj.pop(old_id)
         low_adj: Set[int] = set()
         high_adj: Set[int] = set()
+        split = low.parent
+        assert split is not None
+        dim, old_zone, cut = split.dim, split.zone, low.zone.hi[split.dim]
         for other_id in old_adj:
             self._adj[other_id].discard(old_id)
             other = self.tree.leaves[other_id]
-            other_zone = other.zone
             self._pair_dec(old_owner, other.owner)
-            if low.zone.abuts(other_zone):
+            low_abuts, high_abuts = split_abutment(
+                old_zone, dim, cut, other.zone
+            )
+            if low_abuts:
                 low_adj.add(other_id)
                 self._adj[other_id].add(low.leaf_id)
                 self._pair_inc(low.owner, other.owner)
-            if high.zone.abuts(other_zone):
+            if high_abuts:
                 high_adj.add(other_id)
                 self._adj[other_id].add(high.leaf_id)
                 self._pair_inc(high.owner, other.owner)

@@ -15,6 +15,7 @@ from typing import Optional
 
 from ..can.heartbeat import ProtocolConfig
 from ..can.space import ResourceSpace
+from ..obs.profiling import NULL_PROFILER
 from ..obs.registry import MetricsRegistry
 from ..overlay import get_substrate
 from ..sim.core import Environment
@@ -100,11 +101,13 @@ class ChurnSimulation:
     # -- stages -----------------------------------------------------------------------
     def bootstrap_population(self) -> None:
         """Stage 1: sequential joins of the initial population."""
-        node_id, coord = self._new_coord()
-        self.protocol.bootstrap(node_id, coord)
-        for _ in range(self.config.initial_nodes - 1):
+        prof = self.profiler if self.profiler is not None else NULL_PROFILER
+        with prof.scope("overlay.bootstrap"):
             node_id, coord = self._new_coord()
-            self.protocol.join(node_id, coord, now=0.0)
+            self.protocol.bootstrap(node_id, coord)
+            for _ in range(self.config.initial_nodes - 1):
+                node_id, coord = self._new_coord()
+                self.protocol.join(node_id, coord, now=0.0)
         self._population.update(0.0, float(len(self.overlay.alive_ids())))
 
     def _round_process(self):

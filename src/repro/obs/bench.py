@@ -215,6 +215,26 @@ def _micro_heartbeat(scheme, rounds: int, nodes: int, seed: int, engine="object"
     return fn
 
 
+def _micro_can_join(nodes: int, seed: int):
+    """Sequential protocol joins of ``nodes`` nodes in 11-d (array engine).
+
+    The overlay split, its adjacency update and the join reply/notify
+    exchange, as the churn workloads' bootstrap runs them; ``per_call_us``
+    is the cost of one join, node generation included.
+    """
+    from ..can.heartbeat import HeartbeatScheme
+
+    def fn(profiler: Profiler) -> Dict[str, Any]:
+        t0 = CLOCK()
+        with profiler.scope("can.join"):
+            _build_protocol(
+                HeartbeatScheme.ADAPTIVE, nodes, seed, engine="array"
+            )
+        return _micro_metrics(nodes - 1, CLOCK() - t0)
+
+    return fn
+
+
 def _micro_table_merge(merges: int, nodes: int, seed: int):
     """Full-table merge path: re-absorb a believed neighbor's whole table.
 
@@ -676,6 +696,12 @@ def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
                 seed,
                 engine="array",
             ),
+        ),
+        (
+            "micro.can_join",
+            "micro",
+            "micro",
+            _micro_can_join(200 if smoke else 1_000, seed),
         ),
         (
             "micro.aggregation_step",

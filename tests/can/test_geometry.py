@@ -1,10 +1,10 @@
 """Unit + property tests for zone geometry."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.can.geometry import Zone
+from repro.can.geometry import Zone, axis_contact, split_abutment
 
 
 def unit_zone(d=2):
@@ -158,3 +158,92 @@ def test_abuts_is_symmetric(a_lo, b_lo, ext):
     a = Zone(a_lo, [x + e for x, e in zip(a_lo, ext)])
     b = Zone(b_lo, [x + e for x, e in zip(b_lo, ext)])
     assert a.abuts(b) == b.abuts(a)
+
+
+class TestSplitAbutment:
+    """``split_abutment`` re-classifies only the split axis; its verdicts
+    must be those of a full :meth:`Zone.abuts` scan of each half."""
+
+    def _check(self, zone, dim, cut, other):
+        low, high = zone.split(dim, cut)
+        verdict = split_abutment(zone, dim, cut, other)
+        assert verdict == (low.abuts(other), high.abuts(other))
+        return verdict
+
+    def test_face_on_split_plane_is_corner_contact(self):
+        zone = Zone([0.0, 0.0], [1.0, 1.0])
+        other = Zone([1.0, 0.5], [2.0, 1.5])  # touches along x
+        assert self._check(zone, 1, 0.5, other) == (False, True)
+
+    def test_sliver_within_eps_of_split_is_contact(self):
+        zone = Zone([0.0, 0.0], [1.0, 1.0])
+        other = Zone([1.0, 0.5 + 1e-13], [2.0, 1.5])
+        assert self._check(zone, 1, 0.5, other) == (False, True)
+        other = Zone([1.0, -0.5], [2.0, 0.5 - 1e-13])
+        assert self._check(zone, 1, 0.5, other) == (True, False)
+
+    def test_touch_axis_split_keeps_the_touching_half(self):
+        zone = Zone([0.0, 0.0], [1.0, 1.0])
+        other = Zone([1.0, 0.0], [2.0, 1.0])
+        assert self._check(zone, 0, 0.5, other) == (False, True)
+        other = Zone([1.0 + 1e-13, 0.0], [2.0, 1.0])  # a sliver apart
+        assert self._check(zone, 0, 0.5, other) == (False, True)
+
+    def test_axis_contact(self):
+        assert axis_contact(0.0, 1.0, 1.0, 2.0) == 1
+        assert axis_contact(0.0, 1.0, 1.0 + 1e-13, 2.0) == 1
+        assert axis_contact(0.0, 1.0, 0.5, 2.0) == 0
+        assert axis_contact(0.0, 1.0, 1.5, 2.0) == -1
+
+
+_SLIVER = 1e-13
+
+
+@st.composite
+def _split_cases(draw):
+    """(zone, split dim, cut, a neighbor abutting the zone).
+
+    Neighbor endpoints along the split axis are biased onto the cut, a
+    sliver either side of it, and the zone's own bounds, and the face may
+    sit a sliver off the zone's: where the classification is most
+    delicate.
+    """
+    dims = draw(st.integers(1, 4))
+    lo = [draw(st.floats(0.1, 0.4)) for _ in range(dims)]
+    hi = [draw(st.floats(0.6, 0.9)) for _ in range(dims)]
+    zone = Zone(lo, hi)
+    dim = draw(st.integers(0, dims - 1))
+    cut = draw(st.floats(lo[dim] + 0.01, hi[dim] - 0.01))
+    touch = draw(st.integers(0, dims - 1))
+    width = draw(st.floats(0.01, 0.1))
+    gap = draw(st.sampled_from([0.0, _SLIVER, -_SLIVER]))
+    o_lo, o_hi = [], []
+    for d in range(dims):
+        if d == touch:
+            if draw(st.booleans()):
+                a, b = hi[d] + gap, hi[d] + width
+            else:
+                a, b = lo[d] - width, lo[d] + gap
+        else:
+            special = [lo[d], hi[d]]
+            if d == dim:
+                special += [cut, cut - _SLIVER, cut + _SLIVER]
+            endpoint = st.sampled_from(special) | st.floats(0.0, 1.0)
+            a, b = sorted((draw(endpoint), draw(endpoint)))
+            assume(b > a)
+        o_lo.append(a)
+        o_hi.append(b)
+    other = Zone(o_lo, o_hi)
+    assume(zone.abuts(other))
+    return zone, dim, cut, other
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_split_cases())
+def test_split_abutment_matches_abuts(case):
+    zone, dim, cut, other = case
+    low, high = zone.split(dim, cut)
+    assert split_abutment(zone, dim, cut, other) == (
+        low.abuts(other),
+        high.abuts(other),
+    )

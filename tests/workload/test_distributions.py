@@ -1,11 +1,15 @@
 """Unit tests for workload sampling primitives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workload.distributions import Tiered, WeightedChoice
+from repro.workload.jobs import JobDistribution
+from repro.workload.nodes import NodeDistribution
 
 
 class TestTiered:
@@ -62,3 +66,59 @@ class TestWeightedChoice:
         a = [choice.sample(np.random.default_rng(seed)) for _ in range(5)]
         b = [choice.sample(np.random.default_rng(seed)) for _ in range(5)]
         assert a == b
+
+
+def _numpy_sample(dist, rng):
+    """The sampler drawn through numpy's own ``Generator.choice(p=...)``."""
+    if isinstance(dist, Tiered):
+        w = np.array([t[0] for t in dist.tiers])
+        _, lo, hi = dist.tiers[rng.choice(len(dist.tiers), p=w / w.sum())]
+        return float(rng.uniform(lo, hi)) if hi > lo else lo
+    w = np.asarray(dist.weights, dtype=float)
+    return dist.values[rng.choice(len(dist.values), p=w / w.sum())]
+
+
+_SAMPLERS = [
+    (f"{type(owner).__name__}.{f.name}", getattr(owner, f.name))
+    for owner in (NodeDistribution(), JobDistribution())
+    for f in dataclasses.fields(owner)
+    if isinstance(getattr(owner, f.name), (Tiered, WeightedChoice))
+]
+
+
+class TestMatchesNumpyChoice:
+    """The cached-CDF samplers replay ``rng.choice(n, p=...)`` exactly:
+    same values, and the generator ends in the same state.  A numpy that
+    changes its weighted-choice algorithm fails here, not in the goldens."""
+
+    @staticmethod
+    def _assert_same_draws(dist, seed, draws=40):
+        fast = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        assert [dist.sample(fast) for _ in range(draws)] == [
+            _numpy_sample(dist, ref) for _ in range(draws)
+        ]
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+    def test_covers_every_workload_sampler(self):
+        assert len(_SAMPLERS) == 14
+
+    @pytest.mark.parametrize(
+        "dist", [d for _, d in _SAMPLERS], ids=[n for n, _ in _SAMPLERS]
+    )
+    def test_workload_samplers(self, dist):
+        for seed in range(100):
+            self._assert_same_draws(dist, seed)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_arbitrary_weights(self, weights, seed):
+        values = tuple(range(len(weights)))
+        self._assert_same_draws(
+            WeightedChoice(values=values, weights=tuple(weights)), seed
+        )
+        tiers = tuple((w, float(i), i + 0.5) for i, w in enumerate(weights))
+        self._assert_same_draws(Tiered(tiers=tiers), seed)
